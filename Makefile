@@ -34,6 +34,7 @@ race:
 # sessions just raise FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeRerankJSON -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz=FuzzRerankRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzDiversifierAdapter -fuzztime=$(FUZZTIME) ./internal/diversify

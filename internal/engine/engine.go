@@ -22,6 +22,9 @@
 // protocol) decode their wire format into Request, call Rerank/RerankBatch,
 // and map the typed errors (*BadInputError, *ShedError,
 // *UnknownTenantError, ErrCanceled) onto their protocol's status shapes.
+// The JSON request decoder itself lives here (wirejson.go) because two
+// frontends share it: the HTTP replica and the fleet router's route-key
+// derivation.
 // Every hot-path event lands in an internal/obs registry shared with the
 // frontends.
 //
@@ -435,7 +438,7 @@ func (e *Engine) Rerank(ctx context.Context, req *Request) (Response, error) {
 	// idle.
 	sctx, cancel := context.WithTimeout(ctx, e.cfg.Budget)
 	defer cancel()
-	key, hasKey := e.stateKeyFor(req, tenant, route, pin)
+	key, hasKey := e.stateKeyFor(req, tenant, pin)
 	done := e.batch.submitJob(&scoreJob{
 		ctx: sctx, inst: inst, pin: pin,
 		done: make(chan scoreOutcome, 1), ownsSlot: true,
@@ -573,7 +576,7 @@ func (e *Engine) RerankBatch(ctx context.Context, reqs []Request) ([]Response, e
 			if insts[i] == nil {
 				continue
 			}
-			key, hasKey := e.stateKeyFor(&reqs[i], tenants[i], routes[i], pins[i])
+			key, hasKey := e.stateKeyFor(&reqs[i], tenants[i], pins[i])
 			jobs = append(jobs, &scoreJob{
 				ctx: sctx, inst: insts[i], pin: pins[i],
 				done: make(chan scoreOutcome, 1),

@@ -304,7 +304,7 @@ func stateOfSize(topics int) *core.UserState {
 func TestStateCacheLRU(t *testing.T) {
 	one := int64(stateOfSize(4).SizeBytes())
 	c := newStateCache(3*one, NewMetrics(obs.NewRegistry())) // room for exactly three entries
-	key := func(i int) StateKey { return StateKey{Route: uint64(i), Version: "v1"} }
+	key := func(i int) StateKey { return StateKey{History: uint64(i), Version: "v1"} }
 	for i := 0; i < 3; i++ {
 		c.Put(key(i), stateOfSize(4))
 	}
@@ -330,12 +330,49 @@ func TestStateCacheLRU(t *testing.T) {
 		t.Fatalf("after replace: %d entries / %d bytes, want 3 / %d", n, b, 3*one)
 	}
 	// An entry larger than the whole budget is refused outright.
-	c.Put(StateKey{Route: 99}, stateOfSize(1024))
-	if _, ok := c.Get(StateKey{Route: 99}); ok {
+	c.Put(StateKey{History: 99}, stateOfSize(1024))
+	if _, ok := c.Get(StateKey{History: 99}); ok {
 		t.Fatal("over-budget state was admitted")
 	}
 	c.Flush()
 	if n, b := c.Stats(); n != 0 || b != 0 {
 		t.Fatalf("after flush: %d entries / %d bytes", n, b)
+	}
+}
+
+// TestStateKeyIgnoresSlate: the state-cache key covers exactly what θ̂
+// depends on. A returning user with a fresh candidate slate gets the same
+// key; a change of history, tenant or model version gets a different one.
+func TestStateKeyIgnoresSlate(t *testing.T) {
+	e := NewStatic(core.New(testConfig()), Manifest{Dataset: "test", Config: testConfig()}, Config{StateCacheBytes: 1 << 20})
+	defer e.Close()
+	pin := e.Provider().Active()
+	key := func(req *Request, tenant string, pin Pinned) StateKey {
+		t.Helper()
+		k, ok := e.stateKeyFor(req, tenant, pin)
+		if !ok {
+			t.Fatal("no state key with the cache enabled and a state-capable scorer")
+		}
+		return k
+	}
+	base := key(validRequest(), "", pin)
+
+	slate := validRequest()
+	slate.Items = []Item{{ID: 42, Features: []float64{0.9, 0.9}, Cover: []float64{0, 1}, InitScore: 0.5}}
+	if key(slate, "", pin) != base {
+		t.Fatal("a new candidate slate changed the state key")
+	}
+	history := validRequest()
+	history.TopicSequences[1] = []SeqItem{{Features: []float64{0.1, 0.1}}}
+	if key(history, "", pin) == base {
+		t.Fatal("a history change kept the state key")
+	}
+	if key(validRequest(), "acme", pin) == base {
+		t.Fatal("a tenant change kept the state key")
+	}
+	v2 := pin
+	v2.Version = "v2"
+	if key(validRequest(), "", v2) == base {
+		t.Fatal("a version change kept the state key")
 	}
 }

@@ -88,3 +88,15 @@ func RouteKey(req *Request) uint64 {
 	}
 	return h.Sum64()
 }
+
+// BatchRouteKey derives the routing key of a batch: FNV-1a over its
+// members' RouteKeys in order, so a stable batch routes stably too.
+func BatchRouteKey(reqs []Request) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := range reqs {
+		binary.LittleEndian.PutUint64(buf[:], RouteKey(&reqs[i]))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}

@@ -24,16 +24,16 @@ type StateScorer interface {
 }
 
 // StateKey identifies one cached user state: the tenant that served the
-// request, the request's deterministic route key, a hash of the user's
-// behavior history, and the model version that encoded the state. The
-// version component makes canary traffic and post-promote traffic miss
-// cleanly rather than read a state encoded by a different model; the history
-// hash makes any change in the user's features or behavior sequences a miss
-// (a stale state is never served); the tenant component keeps states of
-// distinct resident scorers apart even when their version labels collide.
+// request, a hash of the user's behavior history, and the model version that
+// encoded the state. θ̂ is a pure function of the history inputs under one
+// model, so that is the whole key: a returning user hits under any candidate
+// slate. The version component makes canary traffic and post-promote traffic
+// miss cleanly rather than read a state encoded by a different model; the
+// history hash makes any change in the user's features or behavior sequences
+// a miss (a stale state is never served); the tenant component keeps states
+// of distinct resident scorers apart even when their version labels collide.
 type StateKey struct {
 	Tenant  string
-	Route   uint64
 	History uint64
 	Version string
 }
@@ -169,17 +169,16 @@ func (c *StateCache) Stats() (entries int, bytes int64) {
 
 // stateKeyFor derives a request's state-cache key: set only when the cache
 // is enabled and the pinned scorer can consume encoded states, so the
-// scoring workers never hash or probe the cache in vain. route is the
-// request's RouteKey, already computed for provider pinning; tenant is the
+// scoring workers never hash or probe the cache in vain. tenant is the
 // resolved tenant label.
-func (e *Engine) stateKeyFor(req *Request, tenant string, route uint64, pin Pinned) (StateKey, bool) {
+func (e *Engine) stateKeyFor(req *Request, tenant string, pin Pinned) (StateKey, bool) {
 	if e.stateCache == nil {
 		return StateKey{}, false
 	}
 	if _, ok := pin.Scorer.(StateScorer); !ok {
 		return StateKey{}, false
 	}
-	return StateKey{Tenant: tenant, Route: route, History: HistoryKey(req), Version: pin.Version}, true
+	return StateKey{Tenant: tenant, History: HistoryKey(req), Version: pin.Version}, true
 }
 
 // StateCache exposes the engine's state cache (nil when disabled) so a

@@ -3,11 +3,9 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -17,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -261,7 +260,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, batch boo
 	start := r.now()
 	defer func() { r.met.latency.ObserveDuration(r.now().Sub(start)) }()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	body, err := engine.ReadBody(http.MaxBytesReader(w, req.Body, maxBodyBytes), req.ContentLength, maxBodyBytes)
 	if err != nil {
 		r.met.responses.With("bad_input").Inc()
 		http.Error(w, "body too large or unreadable", http.StatusBadRequest)
@@ -320,28 +319,20 @@ func responseClass(status int) string {
 }
 
 // routeKeyFor derives the consistent-hash key from the request body using
-// the same serve.RouteKey the serving layer uses for canary splits: requests
-// for the same user land on the same replica across retries and restarts. A
-// batch hashes its members' keys together, so a stable batch is also stable.
+// the same engine.RouteKey the serving layer uses for canary splits:
+// requests for the same user land on the same replica across retries and
+// restarts. A batch hashes its members' keys together, so a stable batch is
+// also stable. The body is checked exactly as a replica would decode it, but
+// only the fields RouteKey hashes are materialised.
 func routeKeyFor(body []byte, batch bool) (uint64, error) {
-	if batch {
-		var breq serve.RerankBatchRequest
-		if err := json.Unmarshal(body, &breq); err != nil {
+	key, err := engine.RouteKeyJSON(body, batch)
+	if err != nil {
+		if batch {
 			return 0, fmt.Errorf("malformed batch request: %v", err)
 		}
-		h := fnv.New64a()
-		var buf [8]byte
-		for i := range breq.Requests {
-			binary.LittleEndian.PutUint64(buf[:], serve.RouteKey(&breq.Requests[i]))
-			h.Write(buf[:])
-		}
-		return h.Sum64(), nil
-	}
-	var rreq serve.RerankRequest
-	if err := json.Unmarshal(body, &rreq); err != nil {
 		return 0, fmt.Errorf("malformed request: %v", err)
 	}
-	return serve.RouteKey(&rreq), nil
+	return key, nil
 }
 
 // Attempt classifications, used both as metric label values and as the

@@ -423,3 +423,34 @@ func TestFleetStatusAndSkew(t *testing.T) {
 		t.Fatalf("fleet document %+v", decoded)
 	}
 }
+
+// TestRouterTrailingBytes: the router applies the replica's one-value rule —
+// a valid request followed by anything but whitespace is a 400 that never
+// reaches a replica.
+func TestRouterTrailingBytes(t *testing.T) {
+	r, reps := testRouter(t, Config{}, okJSON)
+	h := r.Handler()
+	single := string(reqBody(1))
+	batch := `{"requests":[` + single + `]}`
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"v1 garbage", "/v1/rerank", single + " garbage", http.StatusBadRequest},
+		{"v1 second object", "/v1/rerank", single + single, http.StatusBadRequest},
+		{"legacy garbage", "/rerank", single + " garbage", http.StatusBadRequest},
+		{"batch garbage", "/v1/rerank:batch", batch + " garbage", http.StatusBadRequest},
+		{"batch second object", "/v1/rerank:batch", batch + batch, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		if w := post(h, tc.path, []byte(tc.body)); w.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, w.Code, tc.want, w.Body.String())
+		}
+	}
+	if n := reps[0].hits.Load(); n != 0 {
+		t.Fatalf("%d malformed requests reached the replica", n)
+	}
+	if w := post(h, "/v1/rerank", []byte(single+" \n")); w.Code != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d, want 200", w.Code)
+	}
+}

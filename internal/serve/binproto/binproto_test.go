@@ -3,6 +3,7 @@ package binproto
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"net"
 	"reflect"
@@ -60,7 +61,6 @@ func startServer(t *testing.T, cfg engine.Config) (*Server, *Client) {
 	}
 	go s.Serve(ln)
 	t.Cleanup(func() {
-		ln.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		s.Shutdown(ctx)
@@ -295,6 +295,48 @@ func TestServerDraining(t *testing.T) {
 	}
 	if !re.Retryable() || re.RetryAfterS < 1 {
 		t.Fatalf("draining not retryable with hint: %+v", re)
+	}
+}
+
+// TestShutdownOwnsListener: Shutdown alone closes the listener Serve
+// accepts on, so Serve returns nil; a Serve that starts after Shutdown
+// closes its listener at once.
+func TestShutdownOwnsListener(t *testing.T) {
+	e := engine.NewStatic(stubScorer{}, engine.Manifest{Dataset: "test", Config: testConfig()}, engine.Config{Budget: time.Second})
+	s := &Server{Eng: e, Log: t.Logf}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Rerank(context.Background(), validRequest()); err != nil {
+		t.Fatal(err) // Serve is running, so ln is registered
+	}
+	c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	s.Shutdown(ctx)
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v after Shutdown", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Accept on the listener after Shutdown: %v, want net.ErrClosed", err)
+	}
+
+	late, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(late); err != nil {
+		t.Fatalf("Serve after Shutdown returned %v", err)
+	}
+	if _, err := late.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Accept on a listener served after Shutdown: %v, want net.ErrClosed", err)
 	}
 }
 

@@ -28,9 +28,19 @@ type Server struct {
 	IdleTimeout time.Duration
 
 	mu     sync.Mutex
+	lns    map[net.Listener]struct{}
 	conns  map[net.Conn]struct{}
 	closed bool
-	wg     sync.WaitGroup
+	// shut is set once Shutdown has closed the listeners: a Serve that
+	// starts later closes its own at once.
+	shut bool
+	// forced is set once Shutdown's deadline passed: from then on a
+	// connection is closed as soon as it is accepted.
+	forced bool
+	// wg counts running accept loops and connections. Serve holds a count
+	// for its whole loop, so the loop's per-connection Add never starts from
+	// zero while Shutdown waits.
+	wg sync.WaitGroup
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -42,8 +52,30 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Serve accepts connections on ln until the listener is closed (Shutdown
-// closes it). It returns nil on clean shutdown.
+// closes it; a Serve called after Shutdown closes ln at once). It returns
+// nil on clean shutdown. A connection accepted while
+// draining is served like any other: its first request frame is answered
+// with the draining error, then it closes.
 func (s *Server) Serve(ln net.Listener) error {
+	s.mu.Lock()
+	if s.lns == nil {
+		s.lns = make(map[net.Listener]struct{})
+		s.conns = make(map[net.Conn]struct{})
+	}
+	if s.shut {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
+	s.lns[ln] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.lns, ln)
+		s.mu.Unlock()
+		s.wg.Done()
+	}()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -56,13 +88,10 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.forced {
 			s.mu.Unlock()
 			conn.Close()
-			return nil
-		}
-		if s.conns == nil {
-			s.conns = make(map[net.Conn]struct{})
+			continue
 		}
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
@@ -77,12 +106,15 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Shutdown waits for in-flight connections to finish their current request,
-// up to ctx's deadline, then force-closes the stragglers. The caller closes
-// the listener first (Shutdown does not own it).
+// Shutdown closes the listeners Serve accepts on, then waits for the accept
+// loops and every in-flight connection to finish its current request, up to
+// ctx's deadline, and force-closes the stragglers.
 func (s *Server) Shutdown(ctx context.Context) {
 	s.mu.Lock()
-	s.closed = true
+	s.closed, s.shut = true, true
+	for ln := range s.lns {
+		ln.Close()
+	}
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
@@ -90,6 +122,7 @@ func (s *Server) Shutdown(ctx context.Context) {
 	case <-done:
 	case <-ctx.Done():
 		s.mu.Lock()
+		s.forced = true
 		for c := range s.conns {
 			c.Close()
 		}

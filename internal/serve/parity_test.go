@@ -37,7 +37,6 @@ func newParityHarness(t *testing.T, cfg Config) *parityHarness {
 	bs := &binproto.Server{Eng: s.Engine, Log: t.Logf}
 	go bs.Serve(ln)
 	t.Cleanup(func() {
-		ln.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		bs.Shutdown(ctx)

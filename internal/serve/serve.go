@@ -2,11 +2,11 @@
 // (internal/engine). The engine owns the scoring data plane — deadlines,
 // graceful degradation, bounded concurrency, micro-batching, provider
 // pinning, the encoded-state cache and multi-tenancy; this package owns only
-// what is HTTP: routing, JSON decode/encode, request-size caps, the mapping
-// from the engine's typed errors onto status codes and the unified error
-// envelope, panic recovery in the handler chain, probes, the /metrics
-// exposition, the admin control-plane routes and the http.Server lifecycle
-// (timeouts, graceful drain).
+// what is HTTP: routing, reading bodies into the engine's JSON decoder, JSON
+// encoding, request-size caps, the mapping from the engine's typed errors
+// onto status codes and the unified error envelope, panic recovery in the
+// handler chain, probes, the /metrics exposition, the admin control-plane
+// routes and the http.Server lifecycle (timeouts, graceful drain).
 //
 // Surfaces:
 //
@@ -234,9 +234,12 @@ func (s *Server) handleV1Rerank(w http.ResponseWriter, r *http.Request) {
 // degradation, metrics — is the engine's.
 func (s *Server) serveRerank(w http.ResponseWriter, r *http.Request, legacy bool) {
 	start := time.Now()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req RerankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := s.readBody(w, r)
+	if err == nil {
+		err = engine.DecodeRequestJSON(body, &req)
+	}
+	if err != nil {
 		s.decodeFailed(w, start, err, legacy, false)
 		return
 	}
@@ -256,9 +259,12 @@ func (s *Server) serveRerank(w http.ResponseWriter, r *http.Request, legacy bool
 // degraded flags and error strings); see engine.RerankBatch.
 func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var breq RerankBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
+	body, err := s.readBody(w, r)
+	if err == nil {
+		err = engine.DecodeBatchJSON(body, &breq)
+	}
+	if err != nil {
 		s.decodeFailed(w, start, err, false, true)
 		return
 	}
@@ -271,6 +277,13 @@ func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewEncoder(w).Encode(RerankBatchResponse{Responses: resps}); err != nil {
 		s.Log("serve: encode batch response: %v", err)
 	}
+}
+
+// readBody reads the whole request body once, under the MaxBodyBytes cap,
+// into a buffer sized from Content-Length. Exceeding the cap surfaces as
+// *http.MaxBytesError, which decodeFailed answers with 413.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return engine.ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
 }
 
 // decodeFailed accounts and answers a request that never reached the engine

@@ -474,3 +474,33 @@ func TestManifestPath(t *testing.T) {
 		t.Fatalf("ManifestPath = %s", got)
 	}
 }
+
+// TestTrailingBytesRejected: a body is one JSON value. A valid request
+// followed by anything but whitespace is refused on every rerank route —
+// the rule json.Unmarshal applies, so the replica and the router agree.
+func TestTrailingBytesRejected(t *testing.T) {
+	s := testServer(t, Config{})
+	h := s.Handler()
+	single := string(mustJSON(t, validRequest()))
+	batch := string(mustJSON(t, RerankBatchRequest{Requests: []RerankRequest{*validRequest()}}))
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"v1 garbage", "/v1/rerank", single + " garbage", http.StatusBadRequest},
+		{"v1 second object", "/v1/rerank", single + single, http.StatusBadRequest},
+		{"v1 whitespace", "/v1/rerank", single + " \n", http.StatusOK},
+		{"legacy garbage", "/rerank", single + " garbage", http.StatusBadRequest},
+		{"legacy second object", "/rerank", single + single, http.StatusBadRequest},
+		{"batch garbage", "/v1/rerank:batch", batch + " garbage", http.StatusBadRequest},
+		{"batch second object", "/v1/rerank:batch", batch + batch, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, w.Code, tc.want, w.Body.String())
+		}
+	}
+}

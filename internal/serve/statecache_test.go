@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
 )
 
 // TestHistoryKeyDiscriminates: the history hash must change whenever any
@@ -106,6 +105,55 @@ func TestStateCacheServesRepeatUser(t *testing.T) {
 		if reenc[i] != cold[i] {
 			t.Fatalf("post-flush score %d diverged: %v vs %v", i, reenc[i], cold[i])
 		}
+	}
+}
+
+// TestStateCacheReturningUserNewSlate: a returning user whose candidate
+// slate is new hits the cache — θ̂ does not depend on the candidates — and
+// the hit scores the new slate bitwise-identically to a cold pass; a change
+// of the user's history still misses.
+func TestStateCacheReturningUserNewSlate(t *testing.T) {
+	s := testServer(t, Config{StateCacheBytes: 1 << 20})
+	h := s.Handler()
+	if w := postRerank(t, h, mustJSON(t, validRequest())); w.Code != http.StatusOK {
+		t.Fatalf("first request status %d", w.Code)
+	}
+
+	slate := validRequest()
+	slate.Items = []RerankItem{
+		{ID: 21, Features: []float64{0.9, 0.4}, Cover: []float64{0, 1}, InitScore: 0.8},
+		{ID: 22, Features: []float64{0.1, 0.6}, Cover: []float64{1, 0}, InitScore: 0.7},
+	}
+	body := mustJSON(t, slate)
+	w := postRerank(t, h, body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("new-slate request status %d", w.Code)
+	}
+	if hits := s.met.CacheHits.Value(); hits != 1 {
+		t.Fatalf("returning user with a new slate: hits=%d, want 1", hits)
+	}
+	cold := postRerank(t, testServer(t, Config{}).Handler(), body)
+	var warmResp, coldResp RerankResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &warmResp); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(cold.Body.Bytes(), &coldResp); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(warmResp.Ranked) != fmt.Sprint(coldResp.Ranked) || len(warmResp.Scores) != len(coldResp.Scores) {
+		t.Fatalf("cached state ranked the new slate %v, cold pass %v", warmResp.Ranked, coldResp.Ranked)
+	}
+	for i := range warmResp.Scores {
+		if warmResp.Scores[i] != coldResp.Scores[i] {
+			t.Fatalf("score %d: cached %v, cold %v", i, warmResp.Scores[i], coldResp.Scores[i])
+		}
+	}
+
+	moved := validRequest()
+	moved.UserFeatures[0] += 0.5
+	postRerank(t, h, mustJSON(t, moved))
+	if hits, misses := s.met.CacheHits.Value(), s.met.CacheMisses.Value(); hits != 1 || misses != 2 {
+		t.Fatalf("after a history change: hits=%d misses=%d, want 1/2", hits, misses)
 	}
 }
 

@@ -1,5 +1,7 @@
 package serve
 
+import "repro/internal/engine"
+
 // HTTP-only wire types. The request/response bodies themselves are the
 // engine's transport-neutral types (see aliases.go); what remains here is
 // the envelope shapes that exist only on the HTTP surface.
@@ -19,10 +21,9 @@ type ReadyStatus struct {
 }
 
 // RerankBatchRequest is the wire format of POST /v1/rerank:batch: up to
-// MaxBatchRequests independent re-rank requests scored as one envelope.
-type RerankBatchRequest struct {
-	Requests []RerankRequest `json:"requests"`
-}
+// MaxBatchRequests independent re-rank requests scored as one envelope. It
+// is the engine's type, whose JSON decoder the router shares.
+type RerankBatchRequest = engine.BatchRequest
 
 // RerankBatchResponse carries one response per request, in request order.
 // Items degrade independently: inspect each response's Degraded/Error
