@@ -36,7 +36,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRerankJSON -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz=FuzzRerankRequest -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run=^$$ -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz=FuzzDiversifierAdapter -fuzztime=$(FUZZTIME) ./internal/diversify
 	$(GO) test -run=^$$ -fuzz=FuzzFeedbackEvent -fuzztime=$(FUZZTIME) ./internal/feedback
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryFrame -fuzztime=$(FUZZTIME) ./internal/serve/binproto

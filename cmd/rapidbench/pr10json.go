@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/serve"
 	"repro/internal/serve/binproto"
 )
@@ -61,20 +62,20 @@ const (
 // pr10Model is the serving geometry both frontends score against: big enough
 // that requests look like production traffic (20 candidates, 5 behavior
 // topics), small enough that one scoring pass stays well inside the budget.
-func pr10Model() (serve.Scorer, serve.Manifest) {
+func pr10Model() (engine.Scorer, engine.Manifest) {
 	cfg := core.Config{
 		UserDim: 8, ItemDim: 6, Topics: 5, Hidden: 16, D: 8,
 		Output: core.Probabilistic, Encoder: core.BiLSTMEncoder, Agg: core.LSTMAgg,
 		UseDiversity: true, Heads: 2, Seed: 7,
 	}
 	m := core.New(cfg)
-	return m, serve.Manifest{Dataset: "bench-pr10", Config: cfg}
+	return m, engine.Manifest{Dataset: "bench-pr10", Config: cfg}
 }
 
 // pr10Request builds the deterministic benchmark request: the rapidload
 // generator's shape (normal features, uniform covers and init scores) at the
 // pr10Model geometry with 20 candidates.
-func pr10Request(cfg core.Config) *serve.RerankRequest {
+func pr10Request(cfg core.Config) *engine.Request {
 	rng := rand.New(rand.NewSource(10))
 	vec := func(n int) []float64 {
 		v := make([]float64, n)
@@ -83,14 +84,14 @@ func pr10Request(cfg core.Config) *serve.RerankRequest {
 		}
 		return v
 	}
-	req := &serve.RerankRequest{
+	req := &engine.Request{
 		UserFeatures:   vec(cfg.UserDim),
-		TopicSequences: make([][]serve.SeqItemWire, cfg.Topics),
+		TopicSequences: make([][]engine.SeqItem, cfg.Topics),
 	}
 	for j := range req.TopicSequences {
-		seq := make([]serve.SeqItemWire, 3)
+		seq := make([]engine.SeqItem, 3)
 		for k := range seq {
-			seq[k] = serve.SeqItemWire{Features: vec(cfg.ItemDim)}
+			seq[k] = engine.SeqItem{Features: vec(cfg.ItemDim)}
 		}
 		req.TopicSequences[j] = seq
 	}
@@ -99,7 +100,7 @@ func pr10Request(cfg core.Config) *serve.RerankRequest {
 		for j := range cover {
 			cover[j] = rng.Float64() * 0.5
 		}
-		req.Items = append(req.Items, serve.RerankItem{
+		req.Items = append(req.Items, engine.Item{
 			ID:        1000 + i,
 			Features:  vec(cfg.ItemDim),
 			Cover:     cover,
@@ -113,7 +114,7 @@ func pr10Request(cfg core.Config) *serve.RerankRequest {
 // are bitwise-identical in ranking and scores (request IDs differ by design:
 // each served response gets its own). A degraded response fails parity — a
 // benchmark of the fallback path would not measure what this file claims.
-func pr10Parity(httpURL string, bin *binproto.Client, req *serve.RerankRequest) error {
+func pr10Parity(httpURL string, bin *binproto.Client, req *engine.Request) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -126,7 +127,7 @@ func pr10Parity(httpURL string, bin *binproto.Client, req *serve.RerankRequest) 
 	if hr.StatusCode != http.StatusOK {
 		return fmt.Errorf("http parity request: status %d", hr.StatusCode)
 	}
-	var jresp serve.RerankResponse
+	var jresp engine.Response
 	if err := json.NewDecoder(hr.Body).Decode(&jresp); err != nil {
 		return err
 	}
@@ -217,7 +218,7 @@ func runPR10JSON(path string, smoke, check bool) error {
 				if err != nil {
 					b.Fatal(err)
 				}
-				var dreq serve.RerankRequest
+				var dreq engine.Request
 				if err := json.Unmarshal(wire, &dreq); err != nil {
 					b.Fatal(err)
 				}
@@ -225,7 +226,7 @@ func runPR10JSON(path string, smoke, check bool) error {
 				if err != nil {
 					b.Fatal(err)
 				}
-				var dresp serve.RerankResponse
+				var dresp engine.Response
 				if err := json.Unmarshal(rwire, &dresp); err != nil {
 					b.Fatal(err)
 				}
@@ -258,7 +259,7 @@ func runPR10JSON(path string, smoke, check bool) error {
 				if err != nil {
 					b.Fatal(err)
 				}
-				var resp serve.RerankResponse
+				var resp engine.Response
 				if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
 					b.Fatal(err)
 				}

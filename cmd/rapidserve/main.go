@@ -29,7 +29,6 @@
 //
 //	POST /v1/rerank       — JSON request → re-ranked item IDs and scores
 //	POST /v1/rerank:batch — multi-request envelope, scored as one batch
-//	POST /rerank          — alias for /v1/rerank (pre-v1 clients)
 //	POST /v1/feedback     — click/skip events joined back to served responses (-feedback-log)
 //	GET  /healthz  — liveness, model metadata and operational counters
 //	GET  /readyz   — readiness; 503 while draining
@@ -77,6 +76,7 @@ import (
 
 	"repro/internal/bandit"
 	"repro/internal/diversify"
+	"repro/internal/engine"
 	"repro/internal/feedback"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -144,7 +144,7 @@ func main() {
 		DrainTimeout:    *drain,
 		Pprof:           *pprofOn,
 		AdminToken:      *adminToken,
-		Batch: serve.BatchConfig{
+		Batch: engine.BatchConfig{
 			MaxBatch: *maxBatch,
 			MaxWait:  *batchWait,
 			Workers:  *batchWorkers,
@@ -217,7 +217,7 @@ func main() {
 // sick node for fleet testing: injected latency (a slow node, as long as the
 // budget allows; degraded responses past it) and injected scoring errors
 // (degraded responses, never 5xx — the serving layer's contract).
-func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64) serve.FaultInjector {
+func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64) engine.FaultInjector {
 	if latency <= 0 && errRate <= 0 {
 		return nil
 	}
@@ -234,7 +234,7 @@ func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64)
 		defer mu.Unlock()
 		return rng.Float64() < rate
 	}
-	return serve.FaultHooks{
+	return engine.FaultHooks{
 		Before: func(context.Context, *rerank.Instance) error {
 			if roll(errRate) {
 				return errors.New("chaos: injected scoring error")
@@ -258,8 +258,8 @@ func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64)
 }
 
 // run is the single-model deployment shape: one fixed model, no lifecycle.
-func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults serve.FaultInjector) error {
-	model, man, err := serve.LoadModel(modelPath)
+func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults engine.FaultInjector) error {
+	model, man, err := engine.LoadModel(modelPath)
 	if err != nil {
 		return err
 	}
@@ -274,8 +274,8 @@ func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults s
 // scoring seat: the manifest next to -model supplies the surface geometry
 // (request validation), but scoring goes through the weightless
 // internal/diversify adapter at the requested λ.
-func runDiversifier(ctx context.Context, modelPath, name string, lambda float64, addr string, cfg serve.Config, faults serve.FaultInjector) error {
-	man, err := serve.ReadManifest(modelPath)
+func runDiversifier(ctx context.Context, modelPath, name string, lambda float64, addr string, cfg serve.Config, faults engine.FaultInjector) error {
+	man, err := engine.ReadManifest(modelPath)
 	if err != nil {
 		return err
 	}
@@ -309,7 +309,7 @@ func publishDiversifier(root, name, label string, lambda float64) error {
 		return fmt.Errorf("no published versions in %s to copy geometry from", root)
 	}
 	latest := versions[len(versions)-1]
-	man, err := serve.ReadManifest(registry.ModelPath(root, latest))
+	man, err := engine.ReadManifest(registry.ModelPath(root, latest))
 	if err != nil {
 		return err
 	}
@@ -348,7 +348,7 @@ type feedbackOpts struct {
 // -feedback-log it closes the loop: /v1/feedback events land in a crash-safe
 // append-only log, and with -bandit-pct a slice of traffic is served by
 // bandit-tuned diversifier arms whose values learn from that feedback.
-func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canaryPct float64, shadow bool, faults serve.FaultInjector, fb feedbackOpts) error {
+func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canaryPct float64, shadow bool, faults engine.FaultInjector, fb feedbackOpts) error {
 	reg, err := registry.New(registry.Config{
 		Root:          root,
 		CanaryPercent: canaryPct,
@@ -366,7 +366,7 @@ func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canar
 	cfg.Registry = reg.ObsRegistry()
 	cfg.Admin = reg
 
-	var provider serve.Provider = reg
+	var provider engine.Provider = reg
 	if fb.banditPct > 0 && fb.dir == "" {
 		return errors.New("-bandit-pct requires -feedback-log (arms learn from ingested feedback)")
 	}

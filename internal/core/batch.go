@@ -18,7 +18,7 @@ import (
 // Batch output is bitwise identical to Scores; the equivalence suite in
 // batch_test.go enforces this for every model variant.
 
-// Score implements serve.Scorer: a context-aware single-instance scoring
+// Score implements engine.Scorer: a context-aware single-instance scoring
 // call, equivalent to ScoreBatch with a batch of one.
 func (m *Model) Score(ctx context.Context, inst *rerank.Instance) ([]float64, error) {
 	out, err := m.ScoreBatch(ctx, []*rerank.Instance{inst})
@@ -28,7 +28,7 @@ func (m *Model) Score(ctx context.Context, inst *rerank.Instance) ([]float64, er
 	return out[0], nil
 }
 
-// ScoreBatch implements serve.BatchScorer: it scores B instances in one
+// ScoreBatch implements engine.BatchScorer: it scores B instances in one
 // tape pass. Instances may differ in list length and behavior-sequence
 // lengths; the recurrences are grouped (by list length) or length-packed
 // (topic sequences) so state rows always line up. The context is checked

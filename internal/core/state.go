@@ -22,7 +22,7 @@ import (
 // goroutines, batches and caches; holders must never mutate Theta. It is
 // only valid for the exact model that produced it — the serving layer keys
 // cached states by model version and flushes on every lifecycle transition
-// (see internal/serve and DESIGN.md).
+// (see internal/engine and DESIGN.md).
 type UserState struct {
 	theta []float64 // θ̂, length Cfg.Topics; nil for a diversity-free model
 }

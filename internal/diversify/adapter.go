@@ -8,12 +8,12 @@ import (
 )
 
 // Scorer adapts a Diversifier to the serving layer's context-aware
-// Scorer/BatchScorer contract (structurally — this package does not import
-// serve), so a diversifier version can be loaded, warm-up validated,
-// canaried, shadow-compared and batched exactly like a RAPID model. The
-// scores it returns are rank scores (n..1 over the diversified order), which
-// the serving layer's descending-score ordering turns back into the
-// diversified ranking.
+// engine.Scorer/engine.BatchScorer contract (structurally — this package
+// does not import internal/engine), so a diversifier version can be loaded,
+// warm-up validated, canaried, shadow-compared and batched exactly like a
+// RAPID model. The scores it returns are rank scores (n..1 over the
+// diversified order), which the serving layer's descending-score ordering
+// turns back into the diversified ranking.
 //
 // Scorer is a pointer type on purpose: the micro-batching coalescer groups
 // in-flight jobs by scorer identity, which requires comparability.
@@ -33,7 +33,7 @@ func NewScorer(name string, lambda float64) (*Scorer, error) {
 	return &Scorer{Diversifier: d, Lambda: lambda}, nil
 }
 
-// Name implements serve.Scorer; it matches the registry's version-label
+// Name implements engine.Scorer; it matches the registry's version-label
 // convention for weightless diversifier versions.
 func (s *Scorer) Name() string { return "div-" + s.Diversifier.Name() }
 
@@ -41,7 +41,7 @@ func (s *Scorer) Name() string { return "div-" + s.Diversifier.Name() }
 // the per-diversifier rapid_diversifier_* metric series.
 func (s *Scorer) DiversifierName() string { return s.Diversifier.Name() }
 
-// Score implements serve.Scorer.
+// Score implements engine.Scorer.
 func (s *Scorer) Score(ctx context.Context, inst *rerank.Instance) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -57,7 +57,7 @@ func (s *Scorer) Score(ctx context.Context, inst *rerank.Instance) ([]float64, e
 	return GreedyScores(order, n), nil
 }
 
-// ScoreBatch implements serve.BatchScorer: a per-instance loop (greedy
+// ScoreBatch implements engine.BatchScorer: a per-instance loop (greedy
 // re-ranking has no cross-instance batching win) that checks the context
 // between instances, so batch scoring still observes cancellation at
 // instance granularity.

@@ -9,14 +9,14 @@ import (
 	"testing"
 
 	"repro/internal/diversify"
+	"repro/internal/engine"
 	"repro/internal/rerank"
-	"repro/internal/serve"
 )
 
 // The adapter must satisfy the serving layer's contracts structurally.
 var (
-	_ serve.Scorer      = (*diversify.Scorer)(nil)
-	_ serve.BatchScorer = (*diversify.Scorer)(nil)
+	_ engine.Scorer      = (*diversify.Scorer)(nil)
+	_ engine.BatchScorer = (*diversify.Scorer)(nil)
 )
 
 // TestNewScorerRegistry: every registered name builds a serving adapter with

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"time"
@@ -58,6 +60,37 @@ type Provider interface {
 	// fraction of the key space.
 	Pick(key uint64) Pinned
 }
+
+// VersionStatus is one row of the model lifecycle listing (GET
+// /admin/models): a version on disk or in memory and its place in the
+// lifecycle.
+type VersionStatus struct {
+	Version string `json:"version"`
+	// State is "active", "candidate", "previous" (the rollback target) or
+	// "available" (on disk, not loaded).
+	State   string `json:"state"`
+	Dataset string `json:"dataset,omitempty"`
+	// Requests and Degraded are the version's served-traffic counters since
+	// it was loaded (zero for available versions).
+	Requests int64 `json:"requests"`
+	Degraded int64 `json:"degraded"`
+}
+
+// String formats a status row for logs.
+func (v VersionStatus) String() string {
+	return fmt.Sprintf("%s(%s)", v.Version, v.State)
+}
+
+// ErrUnknownVersion marks a lifecycle operation naming a version the
+// registry cannot find (on disk or in memory). Lifecycle implementations
+// wrap it so the distinction survives package boundaries; the admin routes
+// map it to 404.
+var ErrUnknownVersion = errors.New("unknown model version")
+
+// ErrLifecycleConflict marks a lifecycle operation that is invalid in the
+// current state (promoting when no candidate is staged, rolling back with no
+// history). The admin routes map it to 409.
+var ErrLifecycleConflict = errors.New("lifecycle conflict")
 
 // StaticProvider wraps one fixed pin as a Provider — the original
 // single-model deployment shape, kept as the New default so a process

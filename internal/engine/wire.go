@@ -13,6 +13,25 @@ import (
 // the Bi-LSTM's O(L) step chain would blow the budget anyway.
 const MaxListLength = 1024
 
+// ReadyStatus is the JSON body of GET /readyz. The status code alone answers
+// readiness — 200 while accepting traffic, 503 once drain has begun — so
+// probes that only check the code work; the body carries what a fleet
+// router additionally needs from one probe: the pinned model
+// version (its skew detector flags mixed-version windows during rollouts)
+// and the draining flag (eject without penalizing the replica's breaker).
+type ReadyStatus struct {
+	Ready    bool `json:"ready"`
+	Draining bool `json:"draining,omitempty"`
+	// ModelVersion is the active registry version label; empty (and omitted)
+	// in the single-model deployment shape.
+	ModelVersion string `json:"model_version,omitempty"`
+}
+
+// ShedReasonHeader carries the shed reason (a ShedError.Reason) on 429/503
+// shed responses so a router can distinguish backpressure from drain without
+// parsing the body.
+const ShedReasonHeader = "X-Shed-Reason"
+
 // Request is one re-rank request, transport-neutral: the HTTP frontend
 // decodes it from JSON, the binary frontend from length-prefixed frames, and
 // embedded callers build it directly. It must carry everything the model

@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 // AdminClient implements Lifecycle over rapidserve's admin HTTP API, so
@@ -64,9 +64,9 @@ func (c *AdminClient) do(method, path string, body any, out any) error {
 }
 
 // Versions implements Lifecycle via GET /admin/models.
-func (c *AdminClient) Versions() ([]serve.VersionStatus, error) {
+func (c *AdminClient) Versions() ([]engine.VersionStatus, error) {
 	var out struct {
-		Versions []serve.VersionStatus `json:"versions"`
+		Versions []engine.VersionStatus `json:"versions"`
 	}
 	if err := c.do(http.MethodGet, "/admin/models", nil, &out); err != nil {
 		return nil, err

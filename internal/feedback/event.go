@@ -32,7 +32,7 @@ import (
 // rest is joined server-side so clients cannot forge routing or attribution.
 type Event struct {
 	RequestID string `json:"rid"`
-	// Route is the request's deterministic routing key (serve.RouteKey);
+	// Route is the request's deterministic routing key (engine.RouteKey);
 	// zero when the event arrived uncorrelated (tracking entry evicted or
 	// unknown request id).
 	Route uint64 `json:"route,omitempty"`

@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/registry"
-	"repro/internal/serve"
 )
 
 func testSurface() core.Config {
@@ -26,7 +26,7 @@ func testSurface() core.Config {
 func seedModelRoot(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
-	man := serve.Manifest{
+	man := engine.Manifest{
 		Dataset: "test", Lambda: 0.9, Config: testSurface(),
 		Diversifier: "mmr", DiversifierLambda: 0.5,
 	}
@@ -49,16 +49,16 @@ type fakeLifecycle struct {
 	rollback  bool
 }
 
-func (f *fakeLifecycle) Versions() ([]serve.VersionStatus, error) {
+func (f *fakeLifecycle) Versions() ([]engine.VersionStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := []serve.VersionStatus{{Version: "div-seed", State: "active", Requests: 100}}
+	out := []engine.VersionStatus{{Version: "div-seed", State: "active", Requests: 100}}
 	if f.candidate != "" {
 		if f.rollback {
-			out = append(out, serve.VersionStatus{Version: f.candidate, State: "available"})
+			out = append(out, engine.VersionStatus{Version: f.candidate, State: "available"})
 		} else {
 			f.requests += 2 // canary traffic arrives while the trainer watches
-			out = append(out, serve.VersionStatus{Version: f.candidate, State: "candidate", Requests: f.requests})
+			out = append(out, engine.VersionStatus{Version: f.candidate, State: "candidate", Requests: f.requests})
 		}
 	}
 	return out, nil
@@ -131,7 +131,7 @@ func TestTrainerPublishesBestArmAndPromotes(t *testing.T) {
 	if len(lc.promotes) != 1 || lc.promotes[0] != "div-fb-1" {
 		t.Fatalf("promotes = %v, want [div-fb-1]", lc.promotes)
 	}
-	man, err := serve.ReadManifest(registry.ModelPath(root, "div-fb-1"))
+	man, err := engine.ReadManifest(registry.ModelPath(root, "div-fb-1"))
 	if err != nil {
 		t.Fatal(err)
 	}

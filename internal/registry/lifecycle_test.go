@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/rerank"
 	"repro/internal/serve"
 )
@@ -32,7 +33,7 @@ func (s offsetScorer) Score(_ context.Context, inst *rerank.Instance) ([]float64
 	return s.scores(inst), nil
 }
 
-// ScoreBatch makes offsetScorer a serve.BatchScorer, so the live-traffic
+// ScoreBatch makes offsetScorer a engine.BatchScorer, so the live-traffic
 // churn test exercises the coalesced multi-request scoring path too.
 func (s offsetScorer) ScoreBatch(_ context.Context, insts []*rerank.Instance) ([][]float64, error) {
 	out := make([][]float64, len(insts))
@@ -52,10 +53,10 @@ func (s offsetScorer) scores(inst *rerank.Instance) []float64 {
 
 var versionOffsets = map[string]float64{"v1": 1000, "v2": 2000, "v3": 3000, "v4": 4000}
 
-func offsetLoader(modelPath string) (serve.Scorer, serve.Manifest, error) {
+func offsetLoader(modelPath string) (engine.Scorer, engine.Manifest, error) {
 	label := labelFromModelPath(modelPath)
 	return offsetScorer{name: label, offset: versionOffsets[label]},
-		serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+		engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 }
 
 // TestConcurrentSwapCoherence hammers Pick from many goroutines while a
@@ -87,17 +88,17 @@ func TestConcurrentSwapCoherence(t *testing.T) {
 			default:
 			}
 			label := labels[i%len(labels)]
-			if err := r.Load(label); err != nil && !errors.Is(err, serve.ErrLifecycleConflict) {
+			if err := r.Load(label); err != nil && !errors.Is(err, engine.ErrLifecycleConflict) {
 				t.Errorf("Load(%s): %v", label, err)
 				return
 			}
-			if err := r.Promote(label); err != nil && !errors.Is(err, serve.ErrLifecycleConflict) {
+			if err := r.Promote(label); err != nil && !errors.Is(err, engine.ErrLifecycleConflict) {
 				t.Errorf("Promote(%s): %v", label, err)
 				return
 			}
 			swaps.Add(1)
 			if i%7 == 0 {
-				if _, err := r.Rollback(); err != nil && !errors.Is(err, serve.ErrLifecycleConflict) {
+				if _, err := r.Rollback(); err != nil && !errors.Is(err, engine.ErrLifecycleConflict) {
 					t.Errorf("Rollback: %v", err)
 					return
 				}
@@ -144,7 +145,7 @@ func TestConcurrentSwapCoherence(t *testing.T) {
 }
 
 // TestLifecycleUnderLiveHTTPTraffic is the end-to-end acceptance check: a
-// provider server takes continuous /rerank traffic while the admin API loads,
+// provider server takes continuous /v1/rerank traffic while the admin API loads,
 // promotes and rolls back versions. Not a single request may be dropped or
 // fail, every response must carry a version label whose score offset matches
 // (no torn swaps observable from outside), and /metrics must expose the
@@ -167,7 +168,7 @@ func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 		QueueWait:   2 * time.Second, // nothing may shed in this test
 		// Explicit coalescing: concurrent clients must batch (and split per
 		// pinned version) without dropping or tearing a single request.
-		Batch: serve.BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+		Batch: engine.BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond},
 	})
 	srv.Log = t.Logf
 	ts := httptest.NewServer(srv.Handler())
@@ -212,14 +213,14 @@ func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(ts.URL+"/rerank", "application/json",
+				resp, err := http.Post(ts.URL+"/v1/rerank", "application/json",
 					bytes.NewReader(bodies[(g+i)%len(bodies)]))
 				if err != nil {
 					failed.Add(1)
 					t.Errorf("request error: %v", err)
 					return
 				}
-				var rr serve.RerankResponse
+				var rr engine.Response
 				decErr := json.NewDecoder(resp.Body).Decode(&rr)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rerank"
-	"repro/internal/serve"
 )
 
 func testGeometry() core.Config {
@@ -86,10 +86,10 @@ func newTestRegistry(t *testing.T, labels []string, mutate func(*Config)) *Regis
 	}
 	cfg := Config{
 		Root: root,
-		Loader: func(modelPath string) (serve.Scorer, serve.Manifest, error) {
+		Loader: func(modelPath string) (engine.Scorer, engine.Manifest, error) {
 			label := labelFromModelPath(modelPath)
 			return stubScorer{name: label},
-				serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+				engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 		},
 		Log: t.Logf,
 	}
@@ -123,15 +123,15 @@ func TestLoadActivatesFirstThenStagesCandidate(t *testing.T) {
 
 	// Reloading an already-active or already-staged version is a conflict.
 	for _, label := range []string{"v1", "v2"} {
-		if err := r.Load(label); !errors.Is(err, serve.ErrLifecycleConflict) {
+		if err := r.Load(label); !errors.Is(err, engine.ErrLifecycleConflict) {
 			t.Fatalf("Load(%s) again: got %v, want ErrLifecycleConflict", label, err)
 		}
 	}
 	// A version that is not on disk is unknown, as is an invalid label.
-	if err := r.Load("v404"); !errors.Is(err, serve.ErrUnknownVersion) {
+	if err := r.Load("v404"); !errors.Is(err, engine.ErrUnknownVersion) {
 		t.Fatalf("Load(v404): got %v, want ErrUnknownVersion", err)
 	}
-	if err := r.Load("../evil"); !errors.Is(err, serve.ErrUnknownVersion) {
+	if err := r.Load("../evil"); !errors.Is(err, engine.ErrUnknownVersion) {
 		t.Fatalf("Load(../evil): got %v, want ErrUnknownVersion", err)
 	}
 	if got := r.met.loads.Value(); got != 2 {
@@ -141,10 +141,10 @@ func TestLoadActivatesFirstThenStagesCandidate(t *testing.T) {
 
 func TestPromoteAndRollback(t *testing.T) {
 	r := newTestRegistry(t, []string{"v1", "v2"}, nil)
-	if err := r.Promote("v1"); !errors.Is(err, serve.ErrLifecycleConflict) {
+	if err := r.Promote("v1"); !errors.Is(err, engine.ErrLifecycleConflict) {
 		t.Fatalf("promote with no candidate: %v", err)
 	}
-	if _, err := r.Rollback(); !errors.Is(err, serve.ErrLifecycleConflict) {
+	if _, err := r.Rollback(); !errors.Is(err, engine.ErrLifecycleConflict) {
 		t.Fatalf("rollback with no history: %v", err)
 	}
 	mustLoad := func(label string) {
@@ -156,7 +156,7 @@ func TestPromoteAndRollback(t *testing.T) {
 	mustLoad("v1")
 	mustLoad("v2")
 
-	if err := r.Promote("v1"); !errors.Is(err, serve.ErrLifecycleConflict) {
+	if err := r.Promote("v1"); !errors.Is(err, engine.ErrLifecycleConflict) {
 		t.Fatalf("promote of non-candidate label: %v", err)
 	}
 	if err := r.Promote("v2"); err != nil {
@@ -178,7 +178,7 @@ func TestPromoteAndRollback(t *testing.T) {
 		t.Fatalf("after rollback: active %q", pin.Version)
 	}
 	// History is consumed: a second rollback has nothing to revert to.
-	if _, err := r.Rollback(); !errors.Is(err, serve.ErrLifecycleConflict) {
+	if _, err := r.Rollback(); !errors.Is(err, engine.ErrLifecycleConflict) {
 		t.Fatalf("second rollback: %v", err)
 	}
 
@@ -263,10 +263,10 @@ func TestWarmupRejections(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newTestRegistry(t, []string{"v1"}, func(c *Config) {
-				c.Loader = func(modelPath string) (serve.Scorer, serve.Manifest, error) {
+				c.Loader = func(modelPath string) (engine.Scorer, engine.Manifest, error) {
 					s := tc.scorer
 					s.name = labelFromModelPath(modelPath)
-					return s, serve.Manifest{Dataset: s.name, Config: testGeometry()}, nil
+					return s, engine.Manifest{Dataset: s.name, Config: testGeometry()}, nil
 				}
 				if tc.mutate != nil {
 					tc.mutate(c)
@@ -299,8 +299,8 @@ func TestWarmupGeometryMismatchWithGolden(t *testing.T) {
 	golden := SyntheticGolden(testGeometry(), 2, 4)
 	r := newTestRegistry(t, []string{"v1"}, func(c *Config) {
 		c.Golden = golden
-		c.Loader = func(modelPath string) (serve.Scorer, serve.Manifest, error) {
-			return stubScorer{name: "v1"}, serve.Manifest{Dataset: "v1", Config: other}, nil
+		c.Loader = func(modelPath string) (engine.Scorer, engine.Manifest, error) {
+			return stubScorer{name: "v1"}, engine.Manifest{Dataset: "v1", Config: other}, nil
 		}
 	})
 	if err := r.Load("v1"); err == nil || !strings.Contains(err.Error(), "geometry") {

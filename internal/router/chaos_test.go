@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rerank"
 	"repro/internal/serve"
 )
@@ -54,7 +55,7 @@ func newFleet(t *testing.T, cfg Config) *fleet {
 	f := &fleet{}
 	for i := 0; i < 3; i++ {
 		srv := serve.NewServer(echoScorer{},
-			serve.Manifest{Dataset: "fleet-test", Config: fleetGeometry},
+			engine.Manifest{Dataset: "fleet-test", Config: fleetGeometry},
 			serve.Config{Budget: time.Second, QueueWait: 200 * time.Millisecond})
 		srv.Log = func(string, ...any) {}
 		backend := httptest.NewServer(srv.Handler())
@@ -344,7 +345,7 @@ func TestChaosDrainingReplica(t *testing.T) {
 		if r.Method != http.MethodPost {
 			return chaos.Fault{}
 		}
-		return chaos.Fault{Status: 503, RetryAfter: 5, ShedReason: serve.ShedDraining}
+		return chaos.Fault{Status: 503, RetryAfter: 5, ShedReason: engine.ShedDraining}
 	}))
 	w := f.send(body)
 	if w.Code != http.StatusOK {
@@ -398,5 +399,45 @@ func TestChaosFleetMetricsExposed(t *testing.T) {
 	}
 	if len(fs.Replicas) != 3 {
 		t.Fatalf("fleet document has %d replicas", len(fs.Replicas))
+	}
+}
+
+// TestLegacyRerankRouteGone: the pre-v1 POST /rerank route is retired on the
+// replica and on the router alike — both answer 404 without reaching the
+// scoring path, /v1/rerank keeps serving through the same pair, and no
+// metrics surface exports a legacy-request series.
+func TestLegacyRerankRouteGone(t *testing.T) {
+	srv := serve.NewServer(echoScorer{},
+		engine.Manifest{Dataset: "fleet-test", Config: fleetGeometry},
+		serve.Config{Budget: time.Second, QueueWait: 200 * time.Millisecond})
+	srv.Log = func(string, ...any) {}
+	replica := srv.Handler()
+	backend := httptest.NewServer(replica)
+	t.Cleanup(backend.Close)
+	r, err := New(Config{Replicas: []Replica{{ID: "r0", URL: backend.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	router := r.Handler()
+
+	for name, h := range map[string]http.Handler{"replica": replica, "router": router} {
+		if w := post(h, "/rerank", fleetBody(1)); w.Code != http.StatusNotFound {
+			t.Errorf("%s: POST /rerank status %d, want 404 (%s)", name, w.Code, w.Body.String())
+		}
+		if w := post(h, "/v1/rerank", fleetBody(1)); w.Code != http.StatusOK {
+			t.Errorf("%s: POST /v1/rerank status %d, want 200 (%s)", name, w.Code, w.Body.String())
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: /metrics status %d", name, w.Code)
+		}
+		if strings.Contains(w.Body.String(), "rapid_http_legacy_requests_total") {
+			t.Errorf("%s: /metrics still exports rapid_http_legacy_requests_total", name)
+		}
+	}
+	if n := srv.Stats().Requests; n != 2 {
+		t.Fatalf("replica accounted %d scoring requests, want 2 (the /v1/rerank calls only)", n)
 	}
 }

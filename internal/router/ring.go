@@ -4,7 +4,7 @@
 // nodes, shed load and mixed-version rollout windows.
 //
 // Requests are routed by the same deterministic FNV key the serving layer
-// already uses for canary splits (serve.RouteKey), so a user's requests land
+// already uses for canary splits (engine.RouteKey), so a user's requests land
 // on the same replica across retries and rollouts — the property that makes
 // per-replica user-state caches and reproducible debugging possible. Around
 // that stable ownership the router layers the robustness machinery:

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // Replica names one rapidserve backend.
@@ -98,7 +97,7 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
-// Router shards /rerank traffic across replicas by consistent hash and keeps
+// Router shards /v1/rerank traffic across replicas by consistent hash and keeps
 // serving through replica failures. See the package comment for the design.
 type Router struct {
 	cfg         Config
@@ -220,12 +219,11 @@ func (r *Router) logf(format string, args ...any) {
 	}
 }
 
-// Handler returns the router's HTTP surface: the three proxied scoring
+// Handler returns the router's HTTP surface: the two proxied scoring
 // endpoints plus the router's own health, metrics and fleet-introspection
 // endpoints.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /rerank", func(w http.ResponseWriter, req *http.Request) { r.handleProxy(w, req, false) })
 	mux.HandleFunc("POST /v1/rerank", func(w http.ResponseWriter, req *http.Request) { r.handleProxy(w, req, false) })
 	mux.HandleFunc("POST /v1/rerank:batch", func(w http.ResponseWriter, req *http.Request) { r.handleProxy(w, req, true) })
 	mux.Handle("GET /metrics", r.reg.Handler())
@@ -293,7 +291,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, batch boo
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	for _, h := range []string{"Retry-After", serve.ShedReasonHeader} {
+	for _, h := range []string{"Retry-After", engine.ShedReasonHeader} {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -571,7 +569,7 @@ func (r *Router) attempt(ctx context.Context, rs *replicaState, path string, bod
 				res.err = err
 				res.class = attemptTransport
 			default:
-				res.class = classifyStatus(resp.StatusCode, resp.Header.Get(serve.ShedReasonHeader))
+				res.class = classifyStatus(resp.StatusCode, resp.Header.Get(engine.ShedReasonHeader))
 				res.retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 			}
 		}
@@ -595,7 +593,7 @@ func classifyStatus(status int, shedReason string) string {
 	switch {
 	case status == http.StatusTooManyRequests:
 		return attemptShedBack
-	case status == http.StatusServiceUnavailable && shedReason == serve.ShedDraining:
+	case status == http.StatusServiceUnavailable && shedReason == engine.ShedDraining:
 		return attemptShedDraining
 	case status >= 500:
 		return attempt5xx

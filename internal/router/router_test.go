@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 // fakeReplica is a scriptable stand-in for a rapidserve process.
@@ -32,7 +32,7 @@ func newFakeReplica(t *testing.T, h http.HandlerFunc) *fakeReplica {
 	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
 			w.WriteHeader(http.StatusOK)
-			json.NewEncoder(w).Encode(serve.ReadyStatus{Ready: true, ModelVersion: "v1"})
+			json.NewEncoder(w).Encode(engine.ReadyStatus{Ready: true, ModelVersion: "v1"})
 			return
 		}
 		f.hits.Add(1)
@@ -102,7 +102,7 @@ func TestRouterStickyRouting(t *testing.T) {
 	body := reqBody(7)
 	var firstReplica string
 	for i := 0; i < 5; i++ {
-		w := post(h, "/rerank", body)
+		w := post(h, "/v1/rerank", body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
@@ -139,7 +139,7 @@ func TestRouterRetriesFailedOwner(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})
 
-	w := post(r.Handler(), "/rerank", body)
+	w := post(r.Handler(), "/v1/rerank", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 after failover: %s", w.Code, w.Body.String())
 	}
@@ -163,11 +163,11 @@ func TestRouterBackpressureRetry(t *testing.T) {
 	body := bodyOwnedBy(t, r, 0)
 	reps[0].set(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", "1") // capped to MaxBackoff by the router
-		w.Header().Set(serve.ShedReasonHeader, serve.ShedBackpressure)
+		w.Header().Set(engine.ShedReasonHeader, engine.ShedBackpressure)
 		http.Error(w, "shed", http.StatusTooManyRequests)
 	})
 
-	w := post(r.Handler(), "/rerank", body)
+	w := post(r.Handler(), "/v1/rerank", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200: %s", w.Code, w.Body.String())
 	}
@@ -182,13 +182,13 @@ func TestRouterDrainingFailover(t *testing.T) {
 	r, reps := testRouter(t, Config{}, okJSON, okJSON)
 	body := bodyOwnedBy(t, r, 0)
 	reps[0].set(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set(serve.ShedReasonHeader, serve.ShedDraining)
+		w.Header().Set(engine.ShedReasonHeader, engine.ShedDraining)
 		w.Header().Set("Retry-After", "5")
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 	})
 
 	h := r.Handler()
-	w := post(h, "/rerank", body)
+	w := post(h, "/v1/rerank", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200: %s", w.Code, w.Body.String())
 	}
@@ -200,7 +200,7 @@ func TestRouterDrainingFailover(t *testing.T) {
 	}
 	// The drained replica is now skipped without being asked.
 	before := reps[0].hits.Load()
-	if w := post(h, "/rerank", body); w.Code != http.StatusOK {
+	if w := post(h, "/v1/rerank", body); w.Code != http.StatusOK {
 		t.Fatalf("second request status %d", w.Code)
 	}
 	if reps[0].hits.Load() != before {
@@ -227,7 +227,7 @@ func TestRouterRetryBudgetExhaustion(t *testing.T) {
 	h := r.Handler()
 	// First request: primary fails, one budgeted retry fails, then the
 	// bucket (cap 1) is empty.
-	if w := post(h, "/rerank", reqBody(1)); w.Code != http.StatusInternalServerError {
+	if w := post(h, "/v1/rerank", reqBody(1)); w.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want relayed 500", w.Code)
 	}
 	if n := r.met.retries.Value(); n != 1 {
@@ -237,7 +237,7 @@ func TestRouterRetryBudgetExhaustion(t *testing.T) {
 		t.Fatalf("budget exhausted = %d, want 1", n)
 	}
 	// Second request: no tokens left at all — zero retries.
-	post(h, "/rerank", reqBody(2))
+	post(h, "/v1/rerank", reqBody(2))
 	if n := r.met.retries.Value(); n != 1 {
 		t.Fatalf("retries after empty budget = %d, want still 1", n)
 	}
@@ -260,7 +260,7 @@ func TestRouterHedging(t *testing.T) {
 	defer close(release)
 
 	start := time.Now()
-	w := post(r.Handler(), "/rerank", body)
+	w := post(r.Handler(), "/v1/rerank", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -282,7 +282,7 @@ func TestRouterHedging(t *testing.T) {
 // burning replica work or retry budget.
 func TestRouterBadInput(t *testing.T) {
 	r, reps := testRouter(t, Config{}, okJSON)
-	w := post(r.Handler(), "/rerank", []byte("{not json"))
+	w := post(r.Handler(), "/v1/rerank", []byte("{not json"))
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", w.Code)
 	}
@@ -301,7 +301,7 @@ func TestRouterNoHealthyReplica(t *testing.T) {
 	for _, rs := range r.replicas {
 		rs.br.forceOpen()
 	}
-	w := post(r.Handler(), "/rerank", reqBody(1))
+	w := post(r.Handler(), "/v1/rerank", reqBody(1))
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", w.Code)
 	}
@@ -360,7 +360,7 @@ func TestProbeDraining(t *testing.T) {
 	f := &fakeReplica{}
 	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(serve.ReadyStatus{Ready: false, Draining: true, ModelVersion: "v1"})
+		json.NewEncoder(w).Encode(engine.ReadyStatus{Ready: false, Draining: true, ModelVersion: "v1"})
 	}))
 	t.Cleanup(f.srv.Close)
 	r, err := New(Config{Replicas: []Replica{{ID: "r0", URL: f.srv.URL}}})
@@ -384,7 +384,7 @@ func TestFleetStatusAndSkew(t *testing.T) {
 	versioned := func(v string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/readyz" {
-				json.NewEncoder(w).Encode(serve.ReadyStatus{Ready: true, ModelVersion: v})
+				json.NewEncoder(w).Encode(engine.ReadyStatus{Ready: true, ModelVersion: v})
 				return
 			}
 			okJSON(w, r)
@@ -438,7 +438,6 @@ func TestRouterTrailingBytes(t *testing.T) {
 	}{
 		{"v1 garbage", "/v1/rerank", single + " garbage", http.StatusBadRequest},
 		{"v1 second object", "/v1/rerank", single + single, http.StatusBadRequest},
-		{"legacy garbage", "/rerank", single + " garbage", http.StatusBadRequest},
 		{"batch garbage", "/v1/rerank:batch", batch + " garbage", http.StatusBadRequest},
 		{"batch second object", "/v1/rerank:batch", batch + batch, http.StatusBadRequest},
 	}

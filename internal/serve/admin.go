@@ -4,35 +4,11 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
+
+	"repro/internal/engine"
 )
-
-// ErrUnknownVersion marks a lifecycle operation naming a version the
-// registry cannot find (on disk or in memory). Admin handlers map it to 404;
-// lifecycle implementations wrap it so the distinction survives the
-// serve↔registry package boundary.
-var ErrUnknownVersion = errors.New("unknown model version")
-
-// ErrLifecycleConflict marks a lifecycle operation that is invalid in the
-// current state (promoting when no candidate is staged, rolling back with no
-// history). Admin handlers map it to 409.
-var ErrLifecycleConflict = errors.New("lifecycle conflict")
-
-// VersionStatus is one row of GET /admin/models: a version on disk or in
-// memory and its place in the lifecycle.
-type VersionStatus struct {
-	Version string `json:"version"`
-	// State is "active", "candidate", "previous" (the rollback target) or
-	// "available" (on disk, not loaded).
-	State   string `json:"state"`
-	Dataset string `json:"dataset,omitempty"`
-	// Requests and Degraded are the version's served-traffic counters since
-	// it was loaded (zero for available versions).
-	Requests int64 `json:"requests"`
-	Degraded int64 `json:"degraded"`
-}
 
 // Admin is the model lifecycle control plane the server exposes under
 // /admin/models when Config.Admin is set. The registry implements it; the
@@ -40,7 +16,7 @@ type VersionStatus struct {
 // interface.
 type Admin interface {
 	// Versions lists every version on disk and in memory with its state.
-	Versions() ([]VersionStatus, error)
+	Versions() ([]engine.VersionStatus, error)
 	// Load reads a version from disk, warm-up validates it and stages it as
 	// the canary candidate (or activates it when nothing is active yet).
 	Load(version string) error
@@ -72,7 +48,7 @@ func (s *Server) adminAllowed(r *http.Request) bool {
 func (s *Server) adminGuard(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.adminAllowed(r) {
-			s.writeError(w, false, http.StatusForbidden, ErrCodeForbidden,
+			s.writeError(w, http.StatusForbidden, ErrCodeForbidden,
 				"admin endpoints require the admin token or a loopback peer", 0)
 			return
 		}
@@ -87,12 +63,12 @@ func (s *Server) adminGuard(next http.HandlerFunc) http.HandlerFunc {
 func (s *Server) adminError(w http.ResponseWriter, err error) {
 	status, code := http.StatusUnprocessableEntity, ErrCodeUnprocessable
 	switch {
-	case errors.Is(err, ErrUnknownVersion):
+	case errors.Is(err, engine.ErrUnknownVersion):
 		status, code = http.StatusNotFound, ErrCodeUnknownVersion
-	case errors.Is(err, ErrLifecycleConflict):
+	case errors.Is(err, engine.ErrLifecycleConflict):
 		status, code = http.StatusConflict, ErrCodeConflict
 	}
-	s.writeError(w, false, status, code, err.Error(), 0)
+	s.writeError(w, status, code, err.Error(), 0)
 }
 
 type adminVersionRequest struct {
@@ -103,11 +79,11 @@ func (s *Server) decodeAdminVersion(w http.ResponseWriter, r *http.Request) (str
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
 	var req adminVersionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, false, http.StatusBadRequest, ErrCodeBadInput, "bad request: "+err.Error(), 0)
+		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, "bad request: "+err.Error(), 0)
 		return "", false
 	}
 	if req.Version == "" {
-		s.writeError(w, false, http.StatusBadRequest, ErrCodeBadInput, `bad request: missing "version"`, 0)
+		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, `bad request: missing "version"`, 0)
 		return "", false
 	}
 	return req.Version, true
@@ -169,9 +145,4 @@ func (s *Server) mountAdmin(mux *http.ServeMux) {
 	mux.HandleFunc("POST /admin/models/load", s.adminGuard(s.handleAdminLoad))
 	mux.HandleFunc("POST /admin/models/promote", s.adminGuard(s.handleAdminPromote))
 	mux.HandleFunc("POST /admin/models/rollback", s.adminGuard(s.handleAdminRollback))
-}
-
-// String formats a status row for logs.
-func (v VersionStatus) String() string {
-	return fmt.Sprintf("%s(%s)", v.Version, v.State)
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // stubAdmin scripts the lifecycle control plane so the handler tests cover
@@ -18,8 +20,8 @@ type stubAdmin struct {
 	loaded     []string
 }
 
-func (a *stubAdmin) Versions() ([]VersionStatus, error) {
-	return []VersionStatus{{Version: "v1", State: "active", Requests: 7}}, nil
+func (a *stubAdmin) Versions() ([]engine.VersionStatus, error) {
+	return []engine.VersionStatus{{Version: "v1", State: "active", Requests: 7}}, nil
 }
 func (a *stubAdmin) Load(v string) error {
 	if a.loadErr != nil {
@@ -35,7 +37,7 @@ func (a *stubAdmin) Rollback() (string, error) {
 
 func adminServer(t *testing.T, admin Admin, token string) http.Handler {
 	t.Helper()
-	s := NewServer(stubScorer{}, Manifest{Dataset: "test", Config: testConfig()},
+	s := NewServer(stubScorer{}, engine.Manifest{Dataset: "test", Config: testConfig()},
 		Config{Admin: admin, AdminToken: token})
 	s.Log = t.Logf
 	return s.Handler()
@@ -103,7 +105,7 @@ func TestAdminListVersions(t *testing.T) {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
 	var resp struct {
-		Versions []VersionStatus `json:"versions"`
+		Versions []engine.VersionStatus `json:"versions"`
 	}
 	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
@@ -119,8 +121,8 @@ func TestAdminErrorMapping(t *testing.T) {
 		err  error
 		want int
 	}{
-		{"unknown version", fmt.Errorf("wrap: %w", ErrUnknownVersion), http.StatusNotFound},
-		{"lifecycle conflict", fmt.Errorf("wrap: %w", ErrLifecycleConflict), http.StatusConflict},
+		{"unknown version", fmt.Errorf("wrap: %w", engine.ErrUnknownVersion), http.StatusNotFound},
+		{"lifecycle conflict", fmt.Errorf("wrap: %w", engine.ErrLifecycleConflict), http.StatusConflict},
 		{"warm-up failure", fmt.Errorf("warm-up of v2 failed: non-finite score"), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
@@ -169,16 +171,16 @@ func TestAdminAbsentWithoutConfig(t *testing.T) {
 func TestRouteKeyDeterministicAndSensitive(t *testing.T) {
 	a := validRequest()
 	b := validRequest()
-	if RouteKey(a) != RouteKey(b) {
+	if engine.RouteKey(a) != engine.RouteKey(b) {
 		t.Fatal("identical requests produced different routing keys")
 	}
 	b.UserFeatures[0] += 0.5
-	if RouteKey(a) == RouteKey(b) {
+	if engine.RouteKey(a) == engine.RouteKey(b) {
 		t.Fatal("routing key ignores user features")
 	}
 	c := validRequest()
 	c.Items[0].ID = 99
-	if RouteKey(a) == RouteKey(c) {
+	if engine.RouteKey(a) == engine.RouteKey(c) {
 		t.Fatal("routing key ignores item ids")
 	}
 }
@@ -187,9 +189,9 @@ func TestProviderPinFlowsToResponse(t *testing.T) {
 	// A provider-labeled pin must surface in the response wire format and
 	// reach the Observe hook with the terminal outcome.
 	var observed []string
-	p := StaticProvider(Pinned{
+	p := engine.StaticProvider(engine.Pinned{
 		Scorer:   stubScorer{},
-		Manifest: Manifest{Dataset: "test", Config: testConfig()},
+		Manifest: engine.Manifest{Dataset: "test", Config: testConfig()},
 		Version:  "v7",
 		Canary:   true,
 		Observe: func(outcome string, d time.Duration) {
@@ -203,7 +205,7 @@ func TestProviderPinFlowsToResponse(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	var resp RerankResponse
+	var resp engine.Response
 	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}

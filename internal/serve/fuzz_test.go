@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
-// FuzzRerankRequest drives arbitrary bytes through the full /rerank wire
+// FuzzRerankRequest drives arbitrary bytes through the full /v1/rerank wire
 // path — JSON decode, ToInstance geometry validation, admission, scoring,
 // encode. The contract under fuzz: the handler never panics (a panic would
 // surface as a 500 from the recovery middleware) and malformed input is
@@ -29,7 +31,7 @@ func FuzzRerankRequest(f *testing.F) {
 	f.Add([]byte(`{"user_features":[1e308,-1e308,0],"items":[{"id":-1,"features":[null,2],"cover":[1,0]}],"topic_sequences":[[],[]]}`))
 	f.Add([]byte(`{"topic_sequences":[[{"features":[]}]]}`))
 
-	s := NewServer(stubScorer{}, Manifest{Dataset: "fuzz", Config: testConfig()}, Config{
+	s := NewServer(stubScorer{}, engine.Manifest{Dataset: "fuzz", Config: testConfig()}, Config{
 		Budget:    time.Second,
 		QueueWait: time.Second,
 	})
@@ -37,13 +39,13 @@ func FuzzRerankRequest(f *testing.F) {
 	h := s.Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/rerank", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/rerank", bytes.NewReader(body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		switch w.Code {
 		case http.StatusOK:
 			// An accepted request must round-trip to a complete response.
-			var resp RerankResponse
+			var resp engine.Response
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 				t.Fatalf("200 with undecodable body %q: %v", w.Body.String(), err)
 			}
@@ -54,41 +56,6 @@ func FuzzRerankRequest(f *testing.F) {
 			// Rejected cleanly.
 		default:
 			t.Fatalf("status %d on input %q: %s", w.Code, body, w.Body.String())
-		}
-	})
-}
-
-// FuzzManifest drives arbitrary bytes through the manifest parsing stage a
-// server runs at startup (decodeManifest = JSON decode + ValidateConfig).
-// The contract: never panic, and any manifest that parses must carry a
-// geometry the serving tier can actually build — positive and capped
-// dimensions, known enum values — because LoadModel constructs the model
-// from it unconditionally.
-func FuzzManifest(f *testing.F) {
-	valid, err := json.Marshal(Manifest{Dataset: "taobao", Lambda: 0.9, Config: testConfig()})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte("{"))
-	f.Add([]byte(`{"config":{"UserDim":-1}}`))
-	f.Add([]byte(`{"config":{"UserDim":3,"ItemDim":2,"Topics":1000000,"Hidden":4,"D":3}}`))
-	f.Add([]byte(`{"dataset":"x","config":{"UserDim":1e9}}`))
-	f.Add([]byte(`null`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		man, err := decodeManifest(bytes.NewReader(data))
-		if err != nil {
-			return // rejected is fine; panicking or accepting garbage is not
-		}
-		cfg := man.Config
-		for _, d := range []int{cfg.UserDim, cfg.ItemDim, cfg.Topics, cfg.Hidden, cfg.D} {
-			if d <= 0 || d > MaxDim {
-				t.Fatalf("accepted manifest with out-of-range dimension %d: %+v", d, cfg)
-			}
-		}
-		if err := ValidateConfig(cfg); err != nil {
-			t.Fatalf("decodeManifest accepted a config ValidateConfig rejects: %v", err)
 		}
 	})
 }

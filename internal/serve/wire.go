@@ -2,32 +2,11 @@ package serve
 
 import "repro/internal/engine"
 
-// HTTP-only wire types. The request/response bodies themselves are the
-// engine's transport-neutral types (see aliases.go); what remains here is
-// the envelope shapes that exist only on the HTTP surface.
-
-// ReadyStatus is the JSON body of GET /readyz. The bare status-code
-// contract is unchanged — 200 while accepting traffic, 503 once drain has
-// begun — so probes that only check the code keep working; the body carries
-// what a fleet router additionally needs from one probe: the pinned model
-// version (its skew detector flags mixed-version windows during rollouts)
-// and the draining flag (eject without penalizing the replica's breaker).
-type ReadyStatus struct {
-	Ready    bool `json:"ready"`
-	Draining bool `json:"draining,omitempty"`
-	// ModelVersion is the active registry version label; empty (and omitted)
-	// in the single-model deployment shape.
-	ModelVersion string `json:"model_version,omitempty"`
-}
-
-// RerankBatchRequest is the wire format of POST /v1/rerank:batch: up to
-// MaxBatchRequests independent re-rank requests scored as one envelope. It
-// is the engine's type, whose JSON decoder the router shares.
-type RerankBatchRequest = engine.BatchRequest
-
-// RerankBatchResponse carries one response per request, in request order.
-// Items degrade independently: inspect each response's Degraded/Error
-// rather than an envelope-level status.
+// RerankBatchResponse is the wire format of a POST /v1/rerank:batch reply:
+// one response per request, in request order. Items degrade independently:
+// inspect each response's Degraded/Error rather than an envelope-level
+// status. The request side is engine.BatchRequest, whose JSON decoder the
+// router shares.
 type RerankBatchResponse struct {
-	Responses []RerankResponse `json:"responses"`
+	Responses []engine.Response `json:"responses"`
 }

@@ -46,15 +46,19 @@ go build -o "$WORK/rapidload" ./cmd/rapidload
 
 echo "== train and publish two versions into two stores"
 "$WORK/rapidtrain" -dataset taobao -scale 0.02 -seed 1 -out "$WORK/m1.gob" -publish "$STORE_A" 2>&1 | tail -1
+# Version labels are per-store, second-resolution timestamps: two publishes
+# inside one second would carry the same label and hide the skew under test.
+sleep 1
 "$WORK/rapidtrain" -dataset taobao -scale 0.02 -seed 2 -out "$WORK/m2.gob" -publish "$STORE_B" 2>&1 | tail -1
 
-# start_replica ADDR STORE [extra flags...]
+# start_replica ADDR STORE [extra flags...] — sets LAST_PID. Called in this
+# shell, not in $(...), so the PID reaches PIDS and cleanup stops it.
 start_replica() {
     local addr="$1" store="$2"; shift 2
     "$WORK/rapidserve" -model-root "$store" -addr "$addr" -budget 2s "$@" \
         >>"$WORK/serve-$addr.log" 2>&1 &
-    PIDS+=($!)
-    echo $!
+    LAST_PID=$!
+    PIDS+=("$LAST_PID")
 }
 
 wait_ready() { # wait_ready ADDR WHAT
@@ -66,9 +70,10 @@ wait_ready() { # wait_ready ADDR WHAT
 }
 
 echo "== start fleet: r0, r1 (10x slow) on store A; r2 on store B"
-R0_PID="$(start_replica "$R0" "$STORE_A")"
-R1_PID="$(start_replica "$R1" "$STORE_A" -chaos-latency 60ms)"
-start_replica "$R2" "$STORE_B" >/dev/null
+start_replica "$R0" "$STORE_A"
+R0_PID=$LAST_PID
+start_replica "$R1" "$STORE_A" -chaos-latency 60ms
+start_replica "$R2" "$STORE_B"
 wait_ready "$R0" "replica r0"
 wait_ready "$R1" "replica r1"
 wait_ready "$R2" "replica r2"

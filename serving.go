@@ -4,30 +4,32 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/serve"
 )
 
-// Serving (internal/serve). NewServer wraps a trained model in the hardened
-// HTTP serving layer — deadline/degradation envelope, micro-batched scoring
-// and the versioned v1 endpoints (POST /v1/rerank, POST /v1/rerank:batch,
-// with POST /rerank kept as an alias).
+// Serving (internal/serve over internal/engine). NewServer wraps a trained
+// model in the hardened HTTP serving layer — deadline/degradation envelope,
+// micro-batched scoring and the versioned v1 endpoints (POST /v1/rerank,
+// POST /v1/rerank:batch). The request, response and scorer types are the
+// engine's; only the server and the batch reply envelope are HTTP's.
 type (
 	// Server is the hardened re-ranking HTTP server.
 	Server = serve.Server
 	// Scorer is the context-aware scoring interface the server accepts.
-	Scorer = serve.Scorer
+	Scorer = engine.Scorer
 	// BatchScorer is the optional batched extension of Scorer.
-	BatchScorer = serve.BatchScorer
+	BatchScorer = engine.BatchScorer
 	// RerankRequest is the wire form of one re-ranking request.
-	RerankRequest = serve.RerankRequest
+	RerankRequest = engine.Request
 	// RerankItem is one candidate item on the wire.
-	RerankItem = serve.RerankItem
+	RerankItem = engine.Item
 	// SeqItemWire is one behavior-sequence item on the wire.
-	SeqItemWire = serve.SeqItemWire
+	SeqItemWire = engine.SeqItem
 	// RerankResponse is the wire form of one re-ranking response.
-	RerankResponse = serve.RerankResponse
+	RerankResponse = engine.Response
 	// RerankBatchRequest is the /v1/rerank:batch envelope.
-	RerankBatchRequest = serve.RerankBatchRequest
+	RerankBatchRequest = engine.BatchRequest
 	// RerankBatchResponse answers a batch envelope item by item.
 	RerankBatchResponse = serve.RerankBatchResponse
 )
@@ -35,7 +37,7 @@ type (
 // AdaptReranker lifts a legacy Reranker (its Scores method has no context)
 // into the context-aware Scorer interface, including a sequential
 // ScoreBatch. RAPID models implement Scorer natively and do not need it.
-func AdaptReranker(r Reranker) Scorer { return serve.Adapt(r) }
+func AdaptReranker(r Reranker) Scorer { return engine.Adapt(r) }
 
 // serverOptions collects what the functional options below configure.
 type serverOptions struct {
@@ -139,13 +141,13 @@ func NewServer(model *Model, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	man := serve.Manifest{Dataset: o.dataset, Config: model.Cfg}
+	man := engine.Manifest{Dataset: o.dataset, Config: model.Cfg}
 	if len(o.tenants) > 0 {
-		tenants := make(serve.StaticTenants, len(o.tenants))
+		tenants := make(engine.StaticTenants, len(o.tenants))
 		for name, m := range o.tenants {
-			tenants[name] = serve.StaticProvider(serve.Pinned{
+			tenants[name] = engine.StaticProvider(engine.Pinned{
 				Scorer:   m,
-				Manifest: serve.Manifest{Dataset: o.dataset + "/" + name, Config: m.Cfg},
+				Manifest: engine.Manifest{Dataset: o.dataset + "/" + name, Config: m.Cfg},
 			})
 		}
 		o.cfg.Tenants = tenants
